@@ -29,14 +29,6 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.10",
     install_requires=["numpy"],
-    # Optional fast backends for the batch engine (see
-    # docs/architecture.md "Engine-backend matrix"): the kernel engines
-    # degrade to a NumPy executor when these are absent, so neither is
-    # ever required for correctness.
-    extras_require={
-        "jit": ["numba"],
-        "gpu": ["cupy"],
-    },
     entry_points={
         "console_scripts": [
             "repro-experiments=repro.experiments.runner:main",

@@ -55,7 +55,7 @@ from repro.manufacturing.process import ProcessRecipe
 from repro.manufacturing.wafer import FabricatedChip
 from repro.runtime import ParallelExecutor, resolve_workers
 from repro.simulator import ENGINES, Engine, make_engine
-from repro.simulator.kernels import autotune as kernel_autotune
+from repro.simulator.batch_sim import kernel_blocks
 from repro.tester.program import TestProgram
 from repro.tester.results import LotTestResult
 from repro.tester.tester import WaferTester
@@ -350,13 +350,13 @@ class Session:
         ``chaos_injections``
             Faults the active :mod:`repro.chaos` schedule has fired
             across every process (0 when no schedule is installed).
-        ``kernel_blocks_numpy`` / ``kernel_blocks_jit`` / ``kernel_blocks_gpu``
-            64-pattern blocks the kernel engines (``batch-jit``,
-            ``batch-gpu``, ``auto``) executed per backend in *this*
-            process — which backend is actually doing the work, visible
-            per session and through the gateway ``/metrics``.  Like
-            ``chaos_injections`` these are process-global, so the
-            gateway scheduler counts them once, not per lane.
+        ``kernel_blocks_numpy``
+            64-pattern blocks the ``batch`` engine's NumPy kernel
+            executed in *this* process (fault simulation and lot
+            testing alike), visible per session and through the gateway
+            ``/metrics``.  Like ``chaos_injections`` it is
+            process-global, so the gateway scheduler counts it once,
+            not per lane.
         ``ipc_bytes_out`` / ``ipc_bytes_in``
             Payload bytes the session's pool shipped to / received from
             its workers (wire-format frames: contexts, shard tasks,
@@ -388,9 +388,7 @@ class Session:
             "chaos_injections": (
                 0 if schedule is None else schedule.total_injections()
             ),
-            "kernel_blocks_numpy": kernel_autotune.BACKEND_BLOCKS["numpy"],
-            "kernel_blocks_jit": kernel_autotune.BACKEND_BLOCKS["jit"],
-            "kernel_blocks_gpu": kernel_autotune.BACKEND_BLOCKS["gpu"],
+            "kernel_blocks_numpy": kernel_blocks(),
             "ipc_bytes_out": self._executor.ipc_bytes_out,
             "ipc_bytes_in": self._executor.ipc_bytes_in,
             "dispatches": self._executor.dispatches,

@@ -126,9 +126,8 @@ def main(argv: list[str] | None = None) -> int:
         default="batch",
         help=(
             "fault-simulation engine for the Monte-Carlo experiments "
-            "(default: batch, the fault-parallel NumPy engine; "
-            "'batch-jit'/'batch-gpu' run the kernel backends when "
-            "numba/CuPy are installed, 'auto' picks per shape). Note: "
+            "(default: batch, the fault-parallel NumPy engine; 'compiled' "
+            "and 'event' are the word-level and scalar references). Note: "
             "lot testing needs multi-fault word-level machines, so with "
             "'event' the wafer tester falls back to the serial compiled "
             "loop; 'event' governs the coverage-curve fault simulation."

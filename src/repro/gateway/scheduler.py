@@ -41,18 +41,10 @@ from repro.server.core import JobQueues
 
 __all__ = ["SessionScheduler"]
 
-# Scheduler-owned stats keys that must not be key-wise summed across
-# lanes: the chaos schedule is process-global, so every lane reports the
-# same total and summing would multiply it by the lane count.
 # Session.stats() keys that report process-global counters: every lane
 # sees the same value, so summing across lanes would multiply them by
 # the lane count.  The scheduler reports them once instead.
-_GLOBAL_KEYS = (
-    "chaos_injections",
-    "kernel_blocks_numpy",
-    "kernel_blocks_jit",
-    "kernel_blocks_gpu",
-)
+_GLOBAL_KEYS = ("chaos_injections", "kernel_blocks_numpy")
 
 
 class _Lane:

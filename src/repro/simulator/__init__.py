@@ -10,19 +10,12 @@ all exchangeable behind the :class:`Engine` protocol:
   packs 64 test patterns per machine word, the classical parallel-pattern
   technique used by fault simulators of the paper's era, simulating one
   fault at a time (``engine="compiled"``).
-* :mod:`repro.simulator.batch_sim` — the fault-parallel batched engine: a
-  NumPy ``uint64`` value matrix of shape ``(num_faults + 1, num_signals)``
-  whose row 0 is the good machine and whose other rows each carry one
-  injected fault set, so every gate is evaluated once per 64-pattern block
-  for *all* faults at once (``engine="batch"``, the default everywhere).
-* :mod:`repro.simulator.kernels` — the batch engine's schedule lowered to
-  a flat kernel IR and run by pluggable backends: ``engine="batch-jit"``
-  (numba, row-parallel compiled kernel), ``engine="batch-gpu"`` (CuPy,
-  one CUDA launch per block), and ``engine="auto"`` (a shape-aware
-  autotuner that calibrates once per process and picks the fastest
-  available backend per netlist fingerprint and batch size).  numba and
-  CuPy are optional; these engines degrade to a preallocated NumPy
-  kernel executor when they are missing.
+* :mod:`repro.simulator.batch_sim` — the fault-parallel batched engine:
+  the netlist is lowered once to a flat kernel IR
+  (:mod:`repro.simulator.kernels`) and run over a NumPy ``uint64`` value
+  matrix with one lane for the good machine and one per injected fault
+  set, so every gate is evaluated once per 64-pattern block for *all*
+  faults at once (``engine="batch"``, the default everywhere).
 
 Anything that fault-simulates (:class:`~repro.faults.fault_sim.FaultSimulator`,
 :class:`~repro.tester.tester.WaferTester`, PODEM fault dropping, the
@@ -40,12 +33,6 @@ from repro.simulator.values import WORD_BITS, pack_patterns, unpack_outputs
 from repro.simulator.event_sim import EventEngine, EventSimulator
 from repro.simulator.parallel_sim import CompiledCircuit, CompiledEngine
 from repro.simulator.batch_sim import BatchCompiledCircuit, BatchEngine
-from repro.simulator.kernels import (
-    AutoBatchEngine,
-    GpuBatchEngine,
-    JitBatchEngine,
-    KernelBatchCircuit,
-)
 
 __all__ = [
     "WORD_BITS",
@@ -57,10 +44,6 @@ __all__ = [
     "CompiledEngine",
     "BatchCompiledCircuit",
     "BatchEngine",
-    "KernelBatchCircuit",
-    "JitBatchEngine",
-    "GpuBatchEngine",
-    "AutoBatchEngine",
     "Engine",
     "ENGINES",
     "make_engine",
@@ -104,9 +87,6 @@ ENGINES = {
     "batch": BatchEngine,
     "compiled": CompiledEngine,
     "event": EventEngine,
-    "batch-jit": JitBatchEngine,
-    "batch-gpu": GpuBatchEngine,
-    "auto": AutoBatchEngine,
 }
 
 

@@ -2,78 +2,80 @@
 
 The classical parallel-pattern trick packs 64 patterns into one machine
 word; this module adds the orthogonal axis and evaluates a whole *batch of
-machines* simultaneously.  The netlist is compiled once into flat arrays
-(opcode, input indices, output index, in topological order); a batch run
-then holds signal values in a 2D array of shape ``(num_machines + 1,
-num_signals)`` where
+machines* simultaneously.  The netlist is lowered once into a flat,
+levelized :class:`~repro.simulator.kernels.ir.KernelProgram`; a batch run
+then holds signal values in a matrix with one column per machine, where
 
-* **row 0 is the good machine**, and
-* **each other row carries one machine's injected fault set** — a single
+* **machine 0 is the good machine**, and
+* **each other machine carries one injected fault set** — a single
   stuck-at fault for the fault simulator, or a defective chip's whole
   multi-fault set for the wafer tester.
 
-Each gate is evaluated exactly once per 64-pattern block for *all* rows via
-vectorized bitwise ops, so the per-fault cost collapses from a full Python
-resimulation to one row of a NumPy reduction.  Fault injection follows the
-same semantics as :class:`~repro.simulator.parallel_sim.CompiledCircuit`:
+Each gate is evaluated exactly once per 64-pattern block for *all*
+machines via vectorized bitwise ops
+(:func:`~repro.simulator.kernels.numpy_exec.execute_numpy`), so the
+per-fault cost collapses from a full Python resimulation to one lane of
+a NumPy reduction.  Fault injection follows the same semantics as
+:class:`~repro.simulator.parallel_sim.CompiledCircuit`:
 
 * **stem faults** force the signal's word *after* its driver evaluates
-  (primary-input stems are forced at load time) — implemented as a
-  post-evaluation row mask on the signal's column;
-* **pin faults** force one input pin of one sink gate only — implemented
-  as a per-gate override on the gathered operand block before reduction,
-  which is what makes fanout-branch faults distinct sites.
+  (primary-input stems are forced at load time);
+* **pin faults** force one input pin of one sink gate only — an
+  override on the gathered operands before reduction, which is what
+  makes fanout-branch faults distinct sites.
 
-Detection is a column gather of the primary outputs: XOR every faulty row
-against row 0 and OR-reduce across outputs, yielding one 64-bit detect
-word per machine.
+Each distinct fault is validated and resolved to an injection record
+once per circuit; a block only appends those records' integers into
+flat :class:`~repro.simulator.kernels.ir.InjectionTables`.
+
+Detection is a gather of the primary outputs: XOR every faulty machine
+against the good one and OR-reduce across outputs, yielding one 64-bit
+detect word per machine.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.circuit.gates import WORD_MASK, GateType
+from repro.circuit.gates import WORD_MASK
 from repro.circuit.netlist import Netlist
+from repro.simulator.kernels.ir import InjectionTables, lower_program
+from repro.simulator.kernels.numpy_exec import execute_numpy
 from repro.simulator.sites import validate_fault_site
 
-__all__ = ["BatchCompiledCircuit", "BatchEngine"]
+__all__ = ["BatchCompiledCircuit", "BatchEngine", "kernel_blocks"]
 
 _U64 = np.uint64
 _ZERO = _U64(0)
 _ONES = _U64(WORD_MASK)
 
-# Reduction kind per gate family (the invert flag is carried separately).
-_REDUCE_AND = 0
-_REDUCE_OR = 1
-_REDUCE_XOR = 2
-_REDUCE_BUF = 3
+# Fault-record kinds (first element of a cached record tuple).
+_REC_PI = 0  # (col, unused, word): primary-input stem, forced at load
+_REC_STEM = 1  # (gate_pos, unused, word): forced after the gate evaluates
+_REC_PIN = 2  # (gate_pos, pin, word): operand override before reduction
 
-_GATE_REDUCE = {
-    GateType.BUF: (_REDUCE_BUF, False),
-    GateType.NOT: (_REDUCE_BUF, True),
-    GateType.AND: (_REDUCE_AND, False),
-    GateType.NAND: (_REDUCE_AND, True),
-    GateType.OR: (_REDUCE_OR, False),
-    GateType.NOR: (_REDUCE_OR, True),
-    GateType.XOR: (_REDUCE_XOR, False),
-    GateType.XNOR: (_REDUCE_XOR, True),
-}
+# 64-pattern blocks executed in this process.  Process-global, like the
+# chaos injection counter: Session.stats() reports it as
+# ``kernel_blocks_numpy``.  Gateway lanes run blocks on several threads,
+# so the increment takes a lock.
+_blocks_executed = 0
+_blocks_lock = threading.Lock()
 
-_REDUCE_UFUNC = {
-    _REDUCE_AND: np.bitwise_and,
-    _REDUCE_OR: np.bitwise_or,
-    _REDUCE_XOR: np.bitwise_xor,
-}
+
+def kernel_blocks() -> int:
+    """Blocks every :class:`BatchCompiledCircuit` in this process has
+    evaluated (``run_batch`` and ``detect_words`` calls alike)."""
+    return _blocks_executed
 
 
 class BatchCompiledCircuit:
     """A netlist compiled for fault-parallel, pattern-parallel evaluation.
 
     One instance is reusable across blocks and machine batches; only the
-    value matrix and the injection index arrays are rebuilt per call.
+    value matrix and the injection tables are rebuilt per call.
     """
 
     def __init__(self, netlist: Netlist):
@@ -81,89 +83,94 @@ class BatchCompiledCircuit:
         self.netlist = netlist
         order = netlist.topological_order()
         self._index: dict[str, int] = {name: i for i, name in enumerate(order)}
-        self._num_signals = len(order)
-        self._input_names = list(netlist.inputs)
-        self._input_indices = [self._index[name] for name in self._input_names]
-        self._input_index_set = frozenset(self._input_indices)
-        self._output_indices = np.array(
-            [self._index[name] for name in netlist.outputs], dtype=np.intp
-        )
-        # (reduce_kind, invert, input_index_array, output_index) per gate.
-        self._ops: list[tuple[int, bool, np.ndarray, int]] = []
-        for name in order:
-            gate = netlist.gate(name)
-            if gate.gate_type is GateType.INPUT:
-                continue
-            kind, invert = _GATE_REDUCE[gate.gate_type]
-            in_idx = np.array(
-                [self._index[s] for s in gate.inputs], dtype=np.intp
-            )
-            out_idx = self._index[name]
-            self._ops.append((kind, invert, in_idx, out_idx))
-        self._max_fanin = max((len(op[2]) for op in self._ops), default=0)
+        self.program = lower_program(netlist, self._index)
+        # fault -> (kind, a, b, word); see _REC_* above.
+        self._records: dict = {}
 
     @property
     def num_signals(self) -> int:
-        return self._num_signals
+        return self.program.num_signals
 
     def signal_index(self, name: str) -> int:
         """Index of a signal in a value matrix column."""
         return self._index[name]
 
-    # ------------------------------------------------------- fault compiling
+    # --------------------------------------------------------- fault records
 
-    def _compile_machines(
-        self, machines: Sequence[Sequence]
-    ) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]],
-               dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-        """Turn per-machine fault sets into per-signal injection arrays.
+    def _fault_record(self, fault) -> tuple[int, int, int, np.uint64]:
+        rec = self._records.get(fault)
+        if rec is None:
+            validate_fault_site(self.netlist, fault)
+            word = _ONES if fault.value else _ZERO
+            if fault.is_branch:
+                pos = int(self.program.gate_pos[self._index[fault.gate]])
+                rec = (_REC_PIN, pos, fault.pin, word)
+            else:
+                col = self._index[fault.signal]
+                pos = int(self.program.gate_pos[col])
+                if pos < 0:
+                    rec = (_REC_PI, col, 0, word)
+                else:
+                    rec = (_REC_STEM, pos, 0, word)
+            self._records[fault] = rec
+        return rec
 
-        Returns ``(stem_forces, pin_overrides)``:
+    def _build_tables(self, machines: Sequence[Sequence]) -> InjectionTables:
+        """Turn per-machine fault sets into one call's injection tables.
 
-        * ``stem_forces[signal_idx] = (rows, words)`` — force column
-          ``signal_idx`` to ``words`` on ``rows`` after it evaluates;
-        * ``pin_overrides[gate_idx] = (rows, pins, words)`` — force operand
-          ``pins`` of gate ``gate_idx`` to ``words`` on ``rows`` before the
-          gate reduces.
-
-        Machines are any sequences of objects with the
+        Machines are any sequences of hashable objects with the
         :class:`~repro.faults.model.StuckAtFault` site attributes
         (``signal``, ``value``, ``is_branch``, ``gate``, ``pin``).
         """
-        stems: dict[int, tuple[list[int], list[int]]] = {}
-        pins: dict[int, tuple[list[int], list[int], list[int]]] = {}
+        pi = ([], [], [])
+        stems = ([], [], [])
+        pins = ([], [], [], [])
+        record = self._fault_record
         for row, machine in enumerate(machines, start=1):
             for fault in machine:
-                validate_fault_site(self.netlist, fault)
-                word = _ONES if fault.value else _ZERO
-                if fault.is_branch:
-                    gate_idx = self._index[fault.gate]
-                    rows, pin_list, words = pins.setdefault(
-                        gate_idx, ([], [], [])
-                    )
-                    rows.append(row)
-                    pin_list.append(fault.pin)
-                    words.append(word)
+                kind, a, b, word = record(fault)
+                if kind == _REC_STEM:
+                    stems[0].append(row)
+                    stems[1].append(a)
+                    stems[2].append(word)
+                elif kind == _REC_PIN:
+                    pins[0].append(row)
+                    pins[1].append(a)
+                    pins[2].append(b)
+                    pins[3].append(word)
                 else:
-                    idx = self._index[fault.signal]
-                    rows, words = stems.setdefault(idx, ([], []))
-                    rows.append(row)
-                    words.append(word)
-        stem_forces = {
-            idx: (np.array(rows, dtype=np.intp), np.array(words, dtype=_U64))
-            for idx, (rows, words) in stems.items()
-        }
-        pin_overrides = {
-            idx: (
-                np.array(rows, dtype=np.intp),
-                np.array(pin_list, dtype=np.intp),
-                np.array(words, dtype=_U64),
-            )
-            for idx, (rows, pin_list, words) in pins.items()
-        }
-        return stem_forces, pin_overrides
+                    pi[0].append(row)
+                    pi[1].append(a)
+                    pi[2].append(word)
+        return InjectionTables(pi, stems, pins)
 
     # ------------------------------------------------------------ evaluation
+
+    def _evaluate(
+        self,
+        input_words: Mapping[str, int],
+        machines: Sequence[Sequence],
+    ) -> np.ndarray:
+        """The transposed ``(num_signals, len(machines) + 1)`` value
+        matrix of one block."""
+        global _blocks_executed
+        tables = self._build_tables(machines)
+        program = self.program
+        # Every row is either an input (filled here) or a gate output
+        # (written by its gate in schedule order), so empty is safe.
+        values_t = np.empty((program.num_signals, len(machines) + 1), dtype=_U64)
+        for name, col in zip(program.input_names, program.input_cols):
+            try:
+                word = input_words[name]
+            except KeyError:
+                raise ValueError(f"missing input word for {name!r}") from None
+            values_t[col] = _U64(word & WORD_MASK)
+        if tables.pi_row.size:
+            values_t[tables.pi_col, tables.pi_row] = tables.pi_word
+        execute_numpy(program, values_t, tables)
+        with _blocks_lock:
+            _blocks_executed += 1
+        return values_t
 
     def run_batch(
         self,
@@ -178,62 +185,7 @@ class BatchCompiledCircuit:
         into that machine's row.  Returns the full ``(len(machines) + 1,
         num_signals)`` value matrix.
         """
-        stem_forces, pin_overrides = self._compile_machines(machines)
-        num_rows = len(machines) + 1
-        # Every column is either an input (filled below) or a gate output
-        # (written by its gate in topological order), so empty is safe.
-        values = np.empty((num_rows, self._num_signals), dtype=_U64)
-        # One reduction accumulator and one operand-gather scratch are
-        # reused by every gate via ``out=`` — the block loop allocates no
-        # per-gate temporaries.
-        acc = np.empty(num_rows, dtype=_U64)
-        gather = (
-            np.empty((num_rows, self._max_fanin), dtype=_U64)
-            if pin_overrides
-            else None
-        )
-
-        for name, idx in zip(self._input_names, self._input_indices):
-            try:
-                word = input_words[name]
-            except KeyError:
-                raise ValueError(f"missing input word for {name!r}") from None
-            values[:, idx] = _U64(word & WORD_MASK)
-        # Primary-input stems have no driving gate; force them at load time.
-        for idx, (rows, words) in stem_forces.items():
-            if idx in self._input_index_set:
-                values[rows, idx] = words
-
-        for kind, invert, in_idx, out_idx in self._ops:
-            override = pin_overrides.get(out_idx)
-            if override is not None:
-                rows, pin_list, words = override
-                operands = gather[:, : len(in_idx)]
-                np.take(values, in_idx, axis=1, out=operands)
-                operands[rows, pin_list] = words
-                if kind == _REDUCE_BUF:
-                    word = operands[:, 0]
-                else:
-                    word = _REDUCE_UFUNC[kind].reduce(
-                        operands, axis=1, out=acc
-                    )
-            elif kind == _REDUCE_BUF:
-                word = values[:, in_idx[0]]
-            else:
-                # Column-view accumulation avoids the gather on the (vastly
-                # more common) gates with no pin override.
-                ufunc = _REDUCE_UFUNC[kind]
-                word = ufunc(values[:, in_idx[0]], values[:, in_idx[1]], out=acc)
-                for j in range(2, len(in_idx)):
-                    word = ufunc(word, values[:, in_idx[j]], out=acc)
-            if invert:
-                word = np.bitwise_not(word, out=acc)
-            values[:, out_idx] = word
-            force = stem_forces.get(out_idx)
-            if force is not None:
-                rows, words = force
-                values[rows, out_idx] = words
-        return values
+        return self._evaluate(input_words, machines).T
 
     def detect_words(
         self,
@@ -243,17 +195,24 @@ class BatchCompiledCircuit:
         """One 64-bit detect word per machine: bit ``k`` set iff pattern
         ``k`` of the block distinguishes that machine from the good one at
         some primary output."""
-        values = self.run_batch(input_words, machines)
-        outputs = values[:, self._output_indices]  # (rows, num_outputs)
-        diff = outputs[1:] ^ outputs[0]
-        return np.bitwise_or.reduce(diff, axis=1)
+        outputs = self._evaluate(input_words, machines)[self.program.output_cols]
+        return np.bitwise_or.reduce(outputs[:, 1:] ^ outputs[:, :1], axis=0)
 
     def output_words(self, values: np.ndarray, row: int = 0) -> dict[str, int]:
         """Extract ``{output_name: word}`` for one row of a value matrix."""
         return {
             name: int(values[row, idx])
-            for name, idx in zip(self.netlist.outputs, self._output_indices)
+            for name, idx in zip(self.netlist.outputs, self.program.output_cols)
         }
+
+    # --------------------------------------------------------------- pickling
+
+    def __getstate__(self):
+        # Ship the netlist and the IR, not the record cache: records
+        # rebuild lazily (and revalidate) in the receiving process.
+        state = self.__dict__.copy()
+        state["_records"] = {}
+        return state
 
 
 class BatchEngine:

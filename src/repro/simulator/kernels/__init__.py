@@ -1,36 +1,19 @@
-"""Pluggable kernel backends for the batch engine.
+"""The batch engine's kernel: a flat IR and its NumPy executor.
 
-The package lowers a compiled batch circuit into a flat, levelized IR
-(:mod:`~repro.simulator.kernels.ir`) and executes it through
-interchangeable backends — NumPy reference
-(:mod:`~repro.simulator.kernels.numpy_exec`), numba JIT
-(:mod:`~repro.simulator.kernels.jit_exec`), CuPy GPU
-(:mod:`~repro.simulator.kernels.gpu_exec`) — with a shape-aware
-autotuner (:mod:`~repro.simulator.kernels.autotune`) picking per-shape
-winners for ``make_engine("auto")``.  numba and CuPy are soft
-dependencies throughout; everything degrades to the NumPy executor.
+:mod:`~repro.simulator.kernels.ir` lowers a netlist once into a
+levelized :class:`KernelProgram` and carries each call's fault
+injections as :class:`InjectionTables`;
+:mod:`~repro.simulator.kernels.numpy_exec` runs the program over a
+transposed ``uint64`` value matrix.
+:class:`~repro.simulator.batch_sim.BatchCompiledCircuit` drives both.
 """
 
-from repro.simulator.kernels.engine import (
-    AutoBatchEngine,
-    GpuBatchEngine,
-    JitBatchEngine,
-    KernelBatchCircuit,
-    reset_fallback_warnings,
-)
-from repro.simulator.kernels.gpu_exec import cupy_available
 from repro.simulator.kernels.ir import InjectionTables, KernelProgram, lower_program
-from repro.simulator.kernels.jit_exec import numba_available
+from repro.simulator.kernels.numpy_exec import execute_numpy
 
 __all__ = [
-    "AutoBatchEngine",
-    "GpuBatchEngine",
-    "JitBatchEngine",
-    "KernelBatchCircuit",
     "KernelProgram",
     "InjectionTables",
     "lower_program",
-    "numba_available",
-    "cupy_available",
-    "reset_fallback_warnings",
+    "execute_numpy",
 ]

@@ -1,47 +1,37 @@
 """Kernel IR: a netlist lowered to flat, levelized arrays.
 
-The batch engine's inner loop interprets a Python list of per-gate
-tuples.  This module lowers that schedule once into a
-:class:`KernelProgram` — pure ``ndarray`` state that any executor
-(NumPy reference, numba JIT, CuPy) can run without touching Python
+:func:`lower_program` turns a netlist into a :class:`KernelProgram` —
+pure ``ndarray`` state the executor runs without touching Python
 objects per gate:
 
 * ``opcodes`` / ``invert`` — one reduction kind per gate (AND/OR/XOR/
   BUF plus an invert flag), in a *level-grouped* topological order:
   gates are sorted by logic level, then by opcode, so every gate's
   operands are produced strictly earlier in the array and independent
-  gates of one level sit contiguously (the unit a data-parallel
-  executor fuses into one pass);
+  gates of one level sit contiguously;
 * ``op_idx`` / ``op_ptr`` — CSR operand lists: gate ``g`` reads signal
   columns ``op_idx[op_ptr[g]:op_ptr[g + 1]]``;
 * ``out_cols`` — the signal column each gate writes;
-* ``level_ptr`` — gate-range per level, for executors that dispatch a
-  level at a time.
+* ``gate_pos`` — per signal column, the position of its driving gate in
+  the schedule (``-1`` for primary inputs).
 
 Fault injection is *not* part of the program — it varies per block as
 the fault simulator compacts its batch.  :class:`InjectionTables`
-carries one call's stem forces and pin overrides as flat arrays in two
-layouts: grouped by row (the per-machine walk a row-parallel JIT kernel
-wants) and grouped by gate (the scatter a vectorized NumPy/GPU executor
-wants).  Both layouts preserve insertion order among duplicates, so a
-doubly-forced site resolves last-wins exactly like the NumPy fancy
-assignment in :class:`~repro.simulator.batch_sim.BatchCompiledCircuit`.
-
-The program's :attr:`~KernelProgram.fingerprint` is a content hash of
-the lowered arrays.  JIT compilation caches and the autotuner's
-calibration decisions key on it, so any number of sessions, server
-workers, or pool processes that lower the same circuit share one
-compiled kernel and one tuning verdict.
+carries one call's stem forces and pin overrides as flat arrays,
+grouped by gate for the executor's scatter.  Grouping preserves
+insertion order among duplicates, so a doubly-forced site resolves
+last-wins, like the word-level
+:class:`~repro.simulator.parallel_sim.CompiledCircuit`.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
+from repro.circuit.gates import GateType
 from repro.circuit.netlist import Netlist
 
 __all__ = [
@@ -54,12 +44,22 @@ __all__ = [
     "OP_BUF",
 ]
 
-# Opcode values match batch_sim's reduction kinds so the lowering is a
-# relabeling, not a translation.
 OP_AND = 0
 OP_OR = 1
 OP_XOR = 2
 OP_BUF = 3
+
+# (opcode, invert) per gate family.
+_GATE_OPCODE = {
+    GateType.BUF: (OP_BUF, False),
+    GateType.NOT: (OP_BUF, True),
+    GateType.AND: (OP_AND, False),
+    GateType.NAND: (OP_AND, True),
+    GateType.OR: (OP_OR, False),
+    GateType.NOR: (OP_OR, True),
+    GateType.XOR: (OP_XOR, False),
+    GateType.XNOR: (OP_XOR, True),
+}
 
 _U64 = np.uint64
 
@@ -77,89 +77,42 @@ class KernelProgram:
     op_idx: np.ndarray  # int64 (nnz,)
     op_ptr: np.ndarray  # int64 (num_gates + 1,)
     out_cols: np.ndarray  # int64 (num_gates,)
-    level_ptr: np.ndarray  # int64 (num_levels + 1,)
     gate_pos: np.ndarray  # int64 (num_signals,) driving gate's position, -1 = PI
     max_fanin: int
-    _fingerprint: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def num_gates(self) -> int:
         return int(self.opcodes.shape[0])
 
-    @property
-    def num_levels(self) -> int:
-        return int(self.level_ptr.shape[0]) - 1
 
-    @property
-    def fingerprint(self) -> str:
-        """Content hash of the lowered arrays (hex SHA-256).
+def lower_program(netlist: Netlist, index: Mapping[str, int]) -> KernelProgram:
+    """Lower ``netlist``'s gates to a :class:`KernelProgram`.
 
-        Two processes that lower structurally identical circuits get the
-        same fingerprint — the key under which JIT dispatch caches and
-        autotuner decisions are shared.
-        """
-        if not self._fingerprint:
-            hasher = hashlib.sha256()
-            for name in self.input_names:
-                hasher.update(name.encode("utf-8") + b"\x1f")
-            for arr in (
-                self.input_cols,
-                self.output_cols,
-                self.opcodes,
-                self.invert,
-                self.op_idx,
-                self.op_ptr,
-                self.out_cols,
-                self.level_ptr,
-            ):
-                hasher.update(b"\x00")
-                hasher.update(np.ascontiguousarray(arr).tobytes())
-            self._fingerprint.append(hasher.hexdigest())
-        return self._fingerprint[0]
-
-
-def lower_program(
-    netlist: Netlist,
-    index: dict[str, int],
-    ops: Sequence[tuple[int, bool, np.ndarray, int]],
-) -> KernelProgram:
-    """Lower a compiled op list (``BatchCompiledCircuit._ops``) to IR.
-
-    ``index`` maps signal names to value-matrix columns; ``ops`` is the
-    per-gate ``(kind, invert, input_cols, out_col)`` schedule in plain
-    topological order.  Gates are re-sorted by ``(level, kind, invert)``
-    — stable, so the result is still topological — and flattened into
-    the CSR arrays of a :class:`KernelProgram`.
+    ``index`` maps every signal name to its value-matrix column.  Gates
+    are sorted by ``(level, opcode, invert)`` — a topological order —
+    and flattened into the program's CSR arrays.
     """
     levels = netlist.levels()
-    col_level = {index[name]: level for name, level in levels.items()}
-    order = sorted(
-        range(len(ops)),
-        key=lambda i: (col_level[ops[i][3]], ops[i][0], ops[i][1]),
-    )
+    gates = []
+    for gate in netlist:  # topological order
+        if gate.gate_type is GateType.INPUT:
+            continue
+        opcode, inv = _GATE_OPCODE[gate.gate_type]
+        gates.append(
+            (levels[gate.name], opcode, inv, gate.inputs, index[gate.name])
+        )
+    gates.sort(key=lambda g: g[:3])
 
-    num_gates = len(ops)
-    opcodes = np.empty(num_gates, dtype=np.int8)
-    invert = np.empty(num_gates, dtype=np.uint8)
-    out_cols = np.empty(num_gates, dtype=np.int64)
+    num_gates = len(gates)
+    opcodes = np.array([g[1] for g in gates], dtype=np.int8)
+    invert = np.array([g[2] for g in gates], dtype=np.uint8)
+    out_cols = np.array([g[4] for g in gates], dtype=np.int64)
+    fanins = [len(g[3]) for g in gates]
     op_ptr = np.zeros(num_gates + 1, dtype=np.int64)
-    op_chunks: list[np.ndarray] = []
-    level_bounds: list[int] = [0]
-    last_level = None
-    for pos, i in enumerate(order):
-        kind, inv, in_cols, out_col = ops[i]
-        opcodes[pos] = kind
-        invert[pos] = 1 if inv else 0
-        out_cols[pos] = out_col
-        op_chunks.append(in_cols.astype(np.int64, copy=False))
-        op_ptr[pos + 1] = op_ptr[pos] + len(in_cols)
-        level = col_level[out_col]
-        if last_level is None:
-            last_level = level
-        elif level != last_level:
-            level_bounds.append(pos)
-            last_level = level
-    level_bounds.append(num_gates)
+    op_ptr[1:] = np.cumsum(fanins)
+    op_idx = np.array(
+        [index[signal] for g in gates for signal in g[3]], dtype=np.int64
+    )
 
     num_signals = len(index)
     gate_pos = np.full(num_signals, -1, dtype=np.int64)
@@ -176,32 +129,21 @@ def lower_program(
         ),
         opcodes=opcodes,
         invert=invert,
-        op_idx=(
-            np.concatenate(op_chunks)
-            if op_chunks
-            else np.empty(0, dtype=np.int64)
-        ),
+        op_idx=op_idx,
         op_ptr=op_ptr,
         out_cols=out_cols,
-        level_ptr=np.array(level_bounds, dtype=np.int64),
         gate_pos=gate_pos,
-        max_fanin=(
-            max((len(chunk) for chunk in op_chunks), default=0)
-        ),
+        max_fanin=max(fanins, default=0),
     )
-
-
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
-_EMPTY_U64 = np.empty(0, dtype=_U64)
 
 
 class InjectionTables:
     """One ``run_batch`` call's fault injections as flat arrays.
 
-    Built by the engine from its per-fault record cache (see
-    :class:`~repro.simulator.kernels.engine.KernelBatchCircuit`); rows
-    are appended in machine order, so the raw arrays are sorted by row
-    with insertion order preserved within a row.
+    Built by :class:`~repro.simulator.batch_sim.BatchCompiledCircuit`
+    from its per-fault record cache; rows are appended in machine order,
+    so the raw arrays are sorted by row with insertion order preserved
+    within a row.
 
     ``pi_*`` — primary-input stems, applied when the value matrix loads.
     ``stem_*`` — gate-output stems: after gate ``stem_gate[k]`` (a
@@ -213,106 +155,61 @@ class InjectionTables:
     """
 
     __slots__ = (
-        "num_rows",
         "pi_row", "pi_col", "pi_word",
-        "stem_row", "stem_gate", "stem_col", "stem_word",
+        "stem_row", "stem_gate", "stem_word",
         "pin_row", "pin_gate", "pin_pin", "pin_word",
-        "_row_views", "_gate_views",
     )
 
     def __init__(
         self,
-        num_rows: int,
         pi: tuple[list, list, list],
-        stems: tuple[list, list, list, list],
+        stems: tuple[list, list, list],
         pins: tuple[list, list, list, list],
     ):
-        self.num_rows = num_rows
         pi_row, pi_col, pi_word = pi
         self.pi_row = np.array(pi_row, dtype=np.int64)
         self.pi_col = np.array(pi_col, dtype=np.int64)
         self.pi_word = np.array(pi_word, dtype=_U64)
-        stem_row, stem_gate, stem_col, stem_word = stems
+        stem_row, stem_gate, stem_word = stems
         self.stem_row = np.array(stem_row, dtype=np.int64)
         self.stem_gate = np.array(stem_gate, dtype=np.int64)
-        self.stem_col = np.array(stem_col, dtype=np.int64)
         self.stem_word = np.array(stem_word, dtype=_U64)
         pin_row, pin_gate, pin_pin, pin_word = pins
         self.pin_row = np.array(pin_row, dtype=np.int64)
         self.pin_gate = np.array(pin_gate, dtype=np.int64)
         self.pin_pin = np.array(pin_pin, dtype=np.int64)
         self.pin_word = np.array(pin_word, dtype=_U64)
-        self._row_views = None
-        self._gate_views = None
-
-    # ------------------------------------------------------------- layouts
-
-    def by_row(self):
-        """Row-CSR layout for row-parallel executors (the JIT kernel).
-
-        Returns ``(stem_ptr, stem_gate, stem_word, pin_ptr, pin_gate,
-        pin_pin, pin_word)``: entries sorted by ``(row, gate[, pin])``
-        with ``*_ptr[r]:*_ptr[r + 1]`` slicing row ``r``'s entries.  The
-        sort is stable, so duplicate forces keep machine order and a
-        sequential walk resolves them last-wins, identical to the NumPy
-        scatter.
-        """
-        if self._row_views is None:
-            s_order = np.lexsort((self.stem_gate, self.stem_row))
-            s_row = self.stem_row[s_order]
-            s_ptr = np.searchsorted(
-                s_row, np.arange(self.num_rows + 1), side="left"
-            ).astype(np.int64)
-            p_order = np.lexsort((self.pin_pin, self.pin_gate, self.pin_row))
-            p_row = self.pin_row[p_order]
-            p_ptr = np.searchsorted(
-                p_row, np.arange(self.num_rows + 1), side="left"
-            ).astype(np.int64)
-            self._row_views = (
-                s_ptr,
-                self.stem_gate[s_order],
-                self.stem_word[s_order],
-                p_ptr,
-                self.pin_gate[p_order],
-                self.pin_pin[p_order],
-                self.pin_word[p_order],
-            )
-        return self._row_views
 
     def by_gate(self):
-        """Per-gate scatter layout for vectorized executors.
+        """Per-gate scatter layout for the vectorized executor.
 
         Returns ``(stem_by_gate, pin_by_gate)`` dicts keyed by gate
         position: ``stem_by_gate[g] = (rows, words)`` forces gate
         ``g``'s output column after it evaluates; ``pin_by_gate[g] =
         (rows, pins, words)`` patches its gathered operands first.
         Entry order within a gate is machine order, so a vectorized
-        fancy assignment resolves duplicates last-wins like the
-        reference engine.
+        fancy assignment resolves duplicates last-wins.
         """
-        if self._gate_views is None:
-            stem_by_gate: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-            if self.stem_row.size:
-                order = np.argsort(self.stem_gate, kind="stable")
-                gates = self.stem_gate[order]
-                bounds = np.flatnonzero(np.diff(gates)) + 1
-                for chunk in np.split(order, bounds):
-                    stem_by_gate[int(self.stem_gate[chunk[0]])] = (
-                        self.stem_row[chunk],
-                        self.stem_word[chunk],
-                    )
-            pin_by_gate: dict[
-                int, tuple[np.ndarray, np.ndarray, np.ndarray]
-            ] = {}
-            if self.pin_row.size:
-                order = np.argsort(self.pin_gate, kind="stable")
-                gates = self.pin_gate[order]
-                bounds = np.flatnonzero(np.diff(gates)) + 1
-                for chunk in np.split(order, bounds):
-                    pin_by_gate[int(self.pin_gate[chunk[0]])] = (
-                        self.pin_row[chunk],
-                        self.pin_pin[chunk],
-                        self.pin_word[chunk],
-                    )
-            self._gate_views = (stem_by_gate, pin_by_gate)
-        return self._gate_views
+        stem_by_gate: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for chunk in _chunks_by_gate(self.stem_gate):
+            stem_by_gate[int(self.stem_gate[chunk[0]])] = (
+                self.stem_row[chunk],
+                self.stem_word[chunk],
+            )
+        pin_by_gate: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        for chunk in _chunks_by_gate(self.pin_gate):
+            pin_by_gate[int(self.pin_gate[chunk[0]])] = (
+                self.pin_row[chunk],
+                self.pin_pin[chunk],
+                self.pin_word[chunk],
+            )
+        return stem_by_gate, pin_by_gate
+
+
+def _chunks_by_gate(gate: np.ndarray) -> list[np.ndarray]:
+    """Entry indices grouped by gate, machine order kept within a group."""
+    if not gate.size:
+        return []
+    order = np.argsort(gate, kind="stable")
+    bounds = np.flatnonzero(np.diff(gate[order])) + 1
+    return np.split(order, bounds)

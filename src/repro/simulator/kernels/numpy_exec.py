@@ -1,21 +1,17 @@
-"""NumPy reference executor for the kernel IR.
+"""NumPy executor for the kernel IR — the batch engine's inner loop.
 
-Semantics-identical to
-:meth:`repro.simulator.batch_sim.BatchCompiledCircuit.run_batch` — same
-uint64 bitwise reductions, same injection resolution order — but run
-over the lowered :class:`~repro.simulator.kernels.ir.KernelProgram`
-with two mechanical advantages over the interpreted engine:
+Runs a lowered :class:`~repro.simulator.kernels.ir.KernelProgram` over
+a whole batch of machines with uint64 bitwise reductions:
 
 * the value matrix is held **transposed** — shape ``(num_signals,
   num_rows)``, one *contiguous* row per signal — so every gate's
-  operand reads and output write stream through cache lines instead of
-  striding across a row-major matrix;
+  operand reads and output write stream through cache lines;
 * the accumulator and the operand-gather scratch are **preallocated
   once per call** and reused by every gate via ``out=``, so the block
-  loop allocates nothing per gate.
-
-This is both the fallback backend when numba/CuPy are absent and the
-baseline the autotuner calibrates the accelerated backends against.
+  loop allocates nothing per gate;
+* stem forces and pin overrides come from the call's
+  :class:`~repro.simulator.kernels.ir.InjectionTables`, scattered per
+  gate, duplicates resolving last-wins.
 """
 
 from __future__ import annotations

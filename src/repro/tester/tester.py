@@ -39,7 +39,7 @@ from repro.runtime import (
     new_context_token,
     resolve_workers,
 )
-from repro.simulator import ENGINES, make_engine
+from repro.simulator import ENGINES
 from repro.simulator.batch_sim import BatchCompiledCircuit
 from repro.simulator.parallel_sim import CompiledCircuit
 from repro.simulator.values import WORD_BITS, first_detecting_bits, pack_patterns
@@ -286,8 +286,7 @@ class WaferTester:
         compiled_circuit: CompiledCircuit | None = None,
         payload_format: str = "soa",
     ):
-        """``engine="batch"`` (and the kernel-backed names ``batch-jit``,
-        ``batch-gpu``, ``auto``) tests the lot chip-parallel;
+        """``engine="batch"`` tests the lot chip-parallel;
         ``"compiled"``/``"event"`` fall back to the serial chip-at-a-time
         word-level loop.
         ``workers`` shards the chip list over a process pool (``1`` =
@@ -410,7 +409,7 @@ class WaferTester:
                 return plan.merge(
                     executor.map_shards(_test_lot_shard, context, tasks)
                 )
-        if self.engine in ("compiled", "event"):
+        if self.engine != "batch":
             return [self.test_chip(chip) for chip in chips]
         return _batched_first_fail(
             self._batch_circuit,
@@ -447,7 +446,7 @@ class WaferTester:
         skips re-shipping the compiled circuit and packed blocks.
         """
         if self._shard_context is None:
-            if self.engine not in ("compiled", "event"):
+            if self.engine == "batch":
                 self._shard_context = _LotShardContext(
                     blocks=tuple(self._blocks), batch=self._batch_circuit
                 )
@@ -462,11 +461,5 @@ class WaferTester:
     @property
     def _batch_circuit(self) -> BatchCompiledCircuit:
         if self._batch is None:
-            if self.engine == "batch":
-                self._batch = BatchCompiledCircuit(self.program.netlist)
-            else:
-                # Kernel-backed engine names ("batch-jit", "batch-gpu",
-                # "auto"): reuse the engine's own backend-bound circuit so
-                # lot testing runs through the same executor.
-                self._batch = make_engine(self.program.netlist, self.engine).batch
+            self._batch = BatchCompiledCircuit(self.program.netlist)
         return self._batch

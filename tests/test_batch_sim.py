@@ -7,7 +7,7 @@ circuits, including fanout-branch pin faults and multi-block (>64
 pattern) runs.
 """
 
-import warnings
+import random
 
 import numpy as np
 import pytest
@@ -31,10 +31,13 @@ from repro.simulator import (
     make_engine,
 )
 from repro.simulator.event_sim import EventSimulator
-from repro.simulator.kernels import cupy_available
 from repro.simulator.parallel_sim import CompiledCircuit
 from repro.simulator.values import pack_patterns
 from repro.tester.tester import WaferTester
+
+
+def _words(net, n=64, seed=1):
+    return pack_patterns(net.inputs, random_patterns(net, n, seed=seed))
 
 
 def fanout_net():
@@ -46,6 +49,38 @@ def fanout_net():
     net.add_gate("z2", GateType.AND, ["a", "c"])
     net.set_outputs(["z1", "z2"])
     return net
+
+
+def _compiled_matrix(compiled, words, machines):
+    """The word-level reference value matrix: row 0 good, then one
+    ``CompiledCircuit.run`` per machine with its whole fault set."""
+    rows = [compiled.run(words)]
+    for machine in machines:
+        rows.append(
+            compiled.run(
+                words,
+                stuck_signals=[
+                    (f.signal, f.value) for f in machine if not f.is_branch
+                ],
+                stuck_pins=[
+                    (f.gate, f.pin, f.value) for f in machine if f.is_branch
+                ],
+            )
+        )
+    return np.array(rows, dtype=np.uint64)
+
+
+def _assert_matches_compiled(net, words, machines):
+    """Full value matrices, not just outputs: any divergence shows up at
+    the first differing signal."""
+    batch = BatchCompiledCircuit(net)
+    compiled = CompiledCircuit(net)
+    for name in net.topological_order():
+        assert batch.signal_index(name) == compiled.signal_index(name)
+    got = batch.run_batch(words, machines)
+    expected = _compiled_matrix(compiled, words, machines)
+    for row in range(len(machines) + 1):
+        assert np.array_equal(got[row], expected[row]), (net.name, row)
 
 
 class TestBatchCompiledCircuit:
@@ -108,6 +143,85 @@ class TestBatchCompiledCircuit:
         )
         assert batch.output_words(values, row=1) == expected
 
+    def test_single_fault_machines_full_matrix(self):
+        for net in (c17(), fanout_net(), random_circuit(5, 20, 3, seed=9)):
+            machines = [(f,) for f in full_fault_universe(net)]
+            _assert_matches_compiled(net, _words(net, seed=4), machines)
+
+    def test_multi_fault_machines_full_matrix(self):
+        """Random multi-fault rows mix PI stems, gate stems and pin
+        overrides on one machine."""
+        net = random_circuit(5, 20, 3, seed=11)
+        faults = full_fault_universe(net)
+        rng = random.Random(0)
+        machines = [
+            tuple(rng.sample(faults, k))
+            for k in (1, 2, 3, 5, 8)
+            for _ in range(8)
+        ]
+        _assert_matches_compiled(net, _words(net, seed=5), machines)
+
+    def test_pin_fault_locality_full_matrix(self):
+        """A branch fault reaches its sink gate only: the stem and the
+        other branch keep their good values, on every signal."""
+        net = fanout_net()
+        words = _words(net, seed=6)
+        machines = [
+            (StuckAtFault("a", value, gate=sink, pin=0),)
+            for sink in ("z1", "z2")
+            for value in (0, 1)
+        ]
+        _assert_matches_compiled(net, words, machines)
+        batch = BatchCompiledCircuit(net)
+        values = batch.run_batch(words, machines)
+        a, z1, z2 = (batch.signal_index(n) for n in ("a", "z1", "z2"))
+        for row, (fault,) in enumerate(machines, start=1):
+            other = z2 if fault.gate == "z1" else z1
+            assert np.array_equal(values[row, a], values[0, a]), fault
+            assert np.array_equal(values[row, other], values[0, other]), fault
+
+    def test_duplicate_forces_resolve_last_wins(self):
+        net = fanout_net()
+        words = pack_patterns(net.inputs, [{"a": 0, "b": 1, "c": 1}])
+        machines = [
+            (StuckAtFault("a", 1), StuckAtFault("a", 0)),
+            (StuckAtFault("a", 0), StuckAtFault("a", 1)),
+            (StuckAtFault("z1", 0), StuckAtFault("z1", 1)),
+            (
+                StuckAtFault("a", 1, gate="z2", pin=0),
+                StuckAtFault("a", 0, gate="z2", pin=0),
+            ),
+        ]
+        _assert_matches_compiled(net, words, machines)
+        batch = BatchCompiledCircuit(net)
+        values = batch.run_batch(words, machines)
+        a, z1, z2 = (batch.signal_index(n) for n in ("a", "z1", "z2"))
+        assert int(values[1, a]) & 1 == 0
+        assert int(values[2, a]) & 1 == 1
+        assert int(values[3, z1]) & 1 == 1
+        assert int(values[4, z2]) & 1 == 0 and int(values[4, a]) & 1 == 0
+
+    def test_error_paths_match_compiled(self):
+        """Both engines reject the same bad input with the same error."""
+        batch = BatchCompiledCircuit(fanout_net())
+        compiled = CompiledCircuit(fanout_net())
+        words = pack_patterns(["a", "b", "c"], [(0, 0, 0)])
+        bad_calls = [
+            ({"a": 1}, [], {}),
+            (words, [(StuckAtFault("nope", 1),)], {"stuck_signal": ("nope", 1)}),
+            (
+                words,
+                [(StuckAtFault("a", 1, gate="z1", pin=7),)],
+                {"stuck_pin": ("z1", 7, 1)},
+            ),
+        ]
+        for input_words, machines, injection in bad_calls:
+            with pytest.raises(ValueError) as expected:
+                compiled.run(input_words, **injection)
+            with pytest.raises(ValueError) as got:
+                batch.run_batch(input_words, machines)
+            assert str(got.value) == str(expected.value)
+
     def test_missing_input_raises(self):
         batch = BatchCompiledCircuit(fanout_net())
         with pytest.raises(ValueError, match="missing input"):
@@ -150,7 +264,7 @@ class TestEngineSelection:
 
     def test_engines_satisfy_protocol(self):
         net = c17()
-        for name in ("batch", "compiled", "event", "batch-jit", "batch-gpu", "auto"):
+        for name in ("batch", "compiled", "event"):
             assert isinstance(make_engine(net, name), Engine)
 
     def test_instance_passes_through(self):
@@ -171,22 +285,14 @@ class TestEngineSelection:
             FaultSimulator(c17(), engine=BatchEngine(fanout_net()))
 
 
-# Kernel-backed engines join the differential suite unconditionally:
-# without numba they exercise the NumPy kernel executor (a distinct code
-# path from the interpreted batch loop), with numba the compiled kernel.
-# batch-gpu only differs from that fallback where a device exists.
-_DIFFERENTIAL_ENGINES = ("batch", "compiled", "event", "batch-jit", "auto") + (
-    ("batch-gpu",) if cupy_available() else ()
-)
+_DIFFERENTIAL_ENGINES = ("batch", "compiled", "event")
 
 
 def _run_all_engines(net, patterns, faults=None):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # jit/gpu fallbacks
-        return {
-            name: FaultSimulator(net, engine=name).run(patterns, faults=faults)
-            for name in _DIFFERENTIAL_ENGINES
-        }
+    return {
+        name: FaultSimulator(net, engine=name).run(patterns, faults=faults)
+        for name in _DIFFERENTIAL_ENGINES
+    }
 
 
 class TestDifferentialEngines:
